@@ -30,6 +30,8 @@ class ExtensionProblem:
     @classmethod
     def of(cls, base, theta, phi_mapping):
         order = [l for l in base.labels if l != theta]
+        if set(phi_mapping) != set(order):
+            raise PreconditionError("phi must be defined exactly on Y")
         return cls(base, theta, tuple((l, phi_mapping[l]) for l in order))
 
     def phi_map(self) -> dict[str, UrysohnPoint]:
@@ -51,6 +53,26 @@ class ExtensionProblem:
                 raise PreconditionError(f"phi is not isometric on ({y1}, {y2})")
 
 
+def _extend(row, images, indices) -> UrysohnPoint:
+    """The point at distance row[j] from each images[k], j = indices[k].
+
+    The caller guarantees a valid ultrametric behind `row` and an isometric
+    `images`; the result is still re-checked against every prescribed
+    distance.
+    """
+    pairs = list(zip(indices, images))
+    r = min(row[j] for j, _ in pairs)
+    q = next(p for j, p in pairs if row[j] == r)
+    constraints = [p for p in images if delta(p, q) <= r]
+    t = avoidant_witness(q, r, constraints)
+    for j, p in pairs:
+        if delta(p, t) != row[j]:
+            raise InternalCheckError(
+                f"extension failed to realize the distance to point {j}"
+            )
+    return t
+
+
 def extend_one_point(problem: ExtensionProblem) -> UrysohnPoint:
     """Realize prescribed distances e(y, theta) by a single model point.
 
@@ -60,19 +82,12 @@ def extend_one_point(problem: ExtensionProblem) -> UrysohnPoint:
     delta(phi(y), t) = e(y, theta) is re-checked on every call.
     """
     problem.validate()
-    base, theta = problem.base, problem.theta
-    ys = [l for l in base.labels if l != theta]
-    phi = problem.phi_map()
-    r = min(base.d(y, theta) for y in ys)
-    q = next(y for y in ys if base.d(y, theta) == r)
-    constraints = [phi[y] for y in ys if delta(phi[y], phi[q]) <= r]
-    t = avoidant_witness(phi[q], r, constraints)
-    for y in ys:
-        if delta(phi[y], t) != base.d(y, theta):
-            raise InternalCheckError(
-                f"extension failed to realize the distance to {y}"
-            )
-    return t
+    base = problem.base
+    return _extend(
+        base.dist[base.index(problem.theta)],
+        [p for _, p in problem.phi],
+        [base.index(y) for y, _ in problem.phi],
+    )
 
 
 def embed_space(
@@ -81,25 +96,23 @@ def embed_space(
     """Exact isometric embedding, label by label in canonical order.
 
     The first label maps to `basepoint` (default: the empty map); each later
-    label is placed by a one-point extension of the embedded prefix.
+    label is placed by a one-point extension of the embedded prefix.  The
+    whole space is validated once, in O(n^2) when it is an ultrametric;
+    every prefix is then a valid extension problem, so the loop needs only
+    the O(n^2) `delta` calls of the extensions and their postconditions.
     """
     report = validate_ultrametric(space)
     if not report.ok:
         raise PreconditionError("space is not a valid ultrametric space")
     if not space.labels:
         return {}
-    images: dict[str, UrysohnPoint] = {
-        space.labels[0]: basepoint if basepoint is not None else ORIGIN
-    }
-    for i, label in enumerate(space.labels[1:], start=1):
-        prefix = list(space.labels[:i])
-        sub = space.restrict(prefix + [label])
-        problem = ExtensionProblem.of(sub, label, images)
-        images[label] = extend_one_point(problem)
-    for x, y in itertools.combinations(space.labels, 2):
-        if delta(images[x], images[y]) != space.d(x, y):
+    images = [basepoint if basepoint is not None else ORIGIN]
+    for i in range(1, len(space)):
+        images.append(_extend(space.dist[i], images, range(i)))
+    for (i, x), (j, y) in itertools.combinations(enumerate(images), 2):
+        if delta(x, y) != space.dist[i][j]:
             raise InternalCheckError("embedding failed to preserve a distance")
-    return images
+    return dict(zip(space.labels, images))
 
 
 def _valid_extensions(dsub, rvals, size):

@@ -177,9 +177,13 @@ def heir_tree_from_json(doc: Mapping[str, Any]) -> HeirTree:
         raw_nodes = doc["nodes"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"heir tree document malformed: {exc}") from exc
+    if not isinstance(raw_nodes, list):
+        raise ParseError("'nodes' must be a list")
     nodes: list[HeirNode] = []
     for raw in raw_nodes:
-        point = point_from_json(raw["point"])
+        if not isinstance(raw, Mapping):
+            raise ParseError("each heir tree node must be an object")
+        point = point_from_json(raw.get("point"))
         parent = raw.get("parent")
         radius = raw.get("radius")
         radius = None if radius is None else parse_rational(radius)

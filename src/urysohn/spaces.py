@@ -70,9 +70,14 @@ class FiniteUltrametricSpace:
     range: Optional[RangeSet] = None
 
     def __post_init__(self):
-        if len(set(self.labels)) != len(self.labels):
-            raise StructureError("labels must be distinct")
+        # Label -> row lookup; not a dataclass field, so ==, hash and the
+        # lru_cache keys see only labels, dist and range.
+        object.__setattr__(
+            self, "_index", {l: i for i, l in enumerate(self.labels)}
+        )
         n = len(self.labels)
+        if len(self._index) != n:
+            raise StructureError("labels must be distinct")
         if len(self.dist) != n or any(len(row) != n for row in self.dist):
             raise StructureError(
                 "distance matrix dimensions do not match the label count"
@@ -88,8 +93,8 @@ class FiniteUltrametricSpace:
 
     def index(self, label: str) -> int:
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self._index[label]
+        except KeyError:
             raise KeyError(f"unknown label: {label!r}") from None
 
     def d(self, x: str, y: str) -> Fraction:
@@ -123,30 +128,91 @@ class ValidationReport:
     violations: tuple[Violation, ...]
 
 
+def _ranks(dist) -> list[list[int]]:
+    """Each entry replaced by its rank among the distinct entries: an exact
+    order isomorphism, so comparisons agree and cost an int compare.
+
+    Entries are keyed by their reduced (numerator, denominator) pair, which
+    is equal exactly when the values are and is much cheaper to hash than
+    a Fraction.
+    """
+    keyed = [[v.as_integer_ratio() for v in row] for row in dist]
+    distinct = {k for row in keyed for k in row}
+    order = sorted(distinct, key=lambda k: Fraction(*k))
+    rank_of = {k: r for r, k in enumerate(order)}
+    return [[rank_of[k] for k in row] for row in keyed]
+
+
+def _equals_subdominant(rank: list[list[int]]) -> bool:
+    """Does a symmetric matrix equal its single-linkage ultrametric?
+
+    Prim's algorithm grows a minimum spanning tree from point 0.  When v
+    joins through parent p by an edge of weight w, the minimax path value
+    from v to each tree point u is max(w, value(p, u)), and value(p, u) is
+    already known to equal rank[p][u] or the scan would have stopped.  So
+    each pair is checked once, in O(n^2) total.  Equality holds exactly
+    when the strong triangle inequality holds on every triple of distinct
+    points (Gower & Ross 1969; Carlsson & Memoli, JMLR 2010).
+    """
+    n = len(rank)
+    if n < 3:
+        return True
+    key = list(rank[0])
+    parent = [0] * n
+    tree = [0]
+    outside = set(range(1, n))
+    while outside:
+        v = min(outside, key=key.__getitem__)
+        outside.remove(v)
+        w, p, row = key[v], parent[v], rank[v]
+        via = rank[p]
+        for u in tree:
+            if u != p and row[u] != max(w, via[u]):
+                return False
+        tree.append(v)
+        for u in outside:
+            if row[u] < key[u]:
+                key[u] = row[u]
+                parent[u] = v
+    return True
+
+
 def validate_ultrametric(space: FiniteUltrametricSpace) -> ValidationReport:
     """Check every metric axiom and report all violating pairs/triples.
 
     Strong triangle violations are reported as (x, y, z) where
     d(x,y) > max(d(x,z), d(z,y)).
+
+    Distances are compared through their integer ranks.  A symmetric matrix
+    is checked against its single-linkage ultrametric in O(n^2); only when
+    that fails, or the matrix is not symmetric, does the cubic triple scan
+    run, to list every violation.
     """
     n = len(space)
     labels = space.labels
     dist = space.dist
+    rank = _ranks(dist)
     bad: list[Violation] = []
     for i in range(n):
         if dist[i][i] != ZERO:
             bad.append(Violation("diagonal", (labels[i],)))
+    symmetric = True
     for i, j in itertools.combinations(range(n), 2):
-        if dist[i][j] != dist[j][i]:
+        if rank[i][j] != rank[j][i]:
+            symmetric = False
             bad.append(Violation("symmetry", (labels[i], labels[j])))
         if dist[i][j] <= ZERO:
             bad.append(Violation("positivity", (labels[i], labels[j])))
-    for i, j in itertools.combinations(range(n), 2):
-        for k in range(n):
-            if k == i or k == j:
-                continue
-            if dist[i][j] > max(dist[i][k], dist[k][j]):
-                bad.append(Violation("triangle", (labels[i], labels[j], labels[k])))
+    if not (symmetric and _equals_subdominant(rank)):
+        for i, j in itertools.combinations(range(n), 2):
+            rij, ri = rank[i][j], rank[i]
+            for k in range(n):
+                if k == i or k == j:
+                    continue
+                if rij > max(ri[k], rank[k][j]):
+                    bad.append(
+                        Violation("triangle", (labels[i], labels[j], labels[k]))
+                    )
     if space.range is not None:
         for i, j in itertools.combinations(range(n), 2):
             if dist[i][j] not in space.range:

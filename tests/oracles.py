@@ -8,7 +8,13 @@ counting arguments.
 from fractions import Fraction
 from itertools import combinations
 
-from urysohn import FiniteUltrametricSpace, RangeSet
+from urysohn import (
+    ORIGIN,
+    ExtensionProblem,
+    FiniteUltrametricSpace,
+    RangeSet,
+    extend_one_point,
+)
 
 
 def triangle_violations(space: FiniteUltrametricSpace):
@@ -87,3 +93,16 @@ def threshold_components(space, radius, strict):
         seen |= comp
         comps.append(frozenset(comp))
     return set(comps)
+
+
+def embed_by_extension(space: FiniteUltrametricSpace, basepoint=ORIGIN):
+    """Embedding by the definition: each label is a fresh, fully validated
+    one-point extension problem over the subspace of the labels before it."""
+    labels = space.labels
+    if not labels:
+        return {}
+    images = {labels[0]: basepoint}
+    for i, label in enumerate(labels[1:], start=1):
+        sub = space.restrict(labels[: i + 1])
+        images[label] = extend_one_point(ExtensionProblem.of(sub, label, images))
+    return images

@@ -21,6 +21,8 @@ from urysohn import (
 )
 from urysohn.gen import random_ultrametric_space
 
+from oracles import embed_by_extension
+
 
 def problem(rows, labels, theta, phi):
     base = FiniteUltrametricSpace(
@@ -103,6 +105,24 @@ def test_embed_respects_basepoint():
     base = UrysohnPoint.of({F(7, 2): 3})
     images = embed_space(space, basepoint=base)
     assert images[space.labels[0]] == base
+
+
+def test_embed_matches_prefix_extension_oracle():
+    rng = random.Random(53)
+    spaces = [random_ultrametric_space(rng, rng.randint(1, 10)) for _ in range(60)]
+    spaces += [random_ultrametric_space(rng, rng.randint(23, 27)) for _ in range(3)]
+    for space in spaces:
+        assert embed_space(space) == embed_by_extension(space)
+    base = UrysohnPoint.of({F(7, 2): 3})
+    for space in spaces[:10] + spaces[-1:]:
+        assert embed_space(space, base) == embed_by_extension(space, base)
+
+
+def test_problem_rejects_phi_outside_y():
+    rows = [[0, 1], [1, 0]]
+    for phi in ({"y1": ORIGIN, "theta": ORIGIN}, {"y1": ORIGIN, "zz": ORIGIN}):
+        with pytest.raises(PreconditionError):
+            problem(rows, ["y1", "theta"], "theta", phi)
 
 
 def test_embed_rejects_invalid_space():

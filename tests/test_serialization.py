@@ -92,3 +92,19 @@ def test_heir_tree_round_trip():
     tree = generate_heirs(RangeSet.of([F(1), F(1, 2)]), 2, 2)
     doc = heir_tree_to_json(tree)
     assert heir_tree_from_json(doc) == tree
+
+
+@pytest.mark.parametrize("node", [1, "node", [], None])
+def test_heir_tree_rejects_non_object_node(node):
+    doc = heir_tree_to_json(generate_heirs(RangeSet.of([F(1)]), 1, 1))
+    doc["nodes"].append(node)
+    with pytest.raises(ParseError):
+        heir_tree_from_json(doc)
+
+
+@pytest.mark.parametrize("nodes", [5, "nodes", {"point": {}}, None])
+def test_heir_tree_rejects_non_list_nodes(nodes):
+    doc = heir_tree_to_json(generate_heirs(RangeSet.of([F(1)]), 1, 1))
+    doc["nodes"] = nodes
+    with pytest.raises(ParseError):
+        heir_tree_from_json(doc)

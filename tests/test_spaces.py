@@ -60,21 +60,49 @@ def test_validate_reports_triangle_violation():
     assert ("a", "c", "b") in triangles
 
 
-def test_validate_matches_exhaustive_triple_scan():
-    rng = random.Random(7)
-    for _ in range(50):
-        n = rng.randint(2, 4)
+def _random_matrix(rng, n, kind):
+    """An n x n matrix of one kind: valid, corrupted in one pair, random,
+    asymmetric, or valid with a zero off-diagonal pair."""
+    if kind in ("valid", "corrupted", "zero"):
+        rows = [list(r) for r in random_ultrametric_space(rng, n).dist]
+    else:
         rows = [[F(0)] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                v = F(rng.randint(1, 4), rng.randint(1, 4))
-                rows[i][j] = rows[j][i] = v
+        for i, j in combinations(range(n), 2):
+            rows[i][j] = rows[j][i] = F(rng.randint(1, 4), rng.randint(1, 4))
+    if n >= 2 and kind != "valid":
+        i, j = rng.sample(range(n), 2)
+        if kind == "corrupted":
+            rows[i][j] = rows[j][i] = F(rng.randint(1, 30), 12)
+        elif kind == "zero":
+            rows[i][j] = rows[j][i] = F(0)
+        elif kind == "asymmetric":
+            rows[i][j] = F(rng.randint(0, 5), 2)
+    return rows
+
+
+def test_validate_matches_exhaustive_triple_scan():
+    # Valid inputs take the single-linkage fast path; the other kinds fall
+    # back to the full scan.  Both must list exactly the oracle's triples.
+    rng = random.Random(7)
+    kinds = ("valid", "corrupted", "random", "asymmetric", "zero")
+    for trial in range(250):
+        n = rng.randint(1, 12)
+        kind = kinds[trial % len(kinds)]
+        rows = _random_matrix(rng, n, kind)
         space = FiniteUltrametricSpace(
             tuple(f"x{i}" for i in range(n)),
             tuple(tuple(r) for r in rows),
         )
         report = validate_ultrametric(space)
-        assert report.ok == (not triangle_violations(space))
+        expected = [
+            t
+            for t in triangle_violations(space)
+            if space.index(t[0]) < space.index(t[1])
+        ]
+        got = [v.where for v in report.violations if v.kind == "triangle"]
+        assert got == expected
+        if kind in ("valid", "random"):
+            assert report.ok == (not expected)
 
 
 def test_closed_ball_radius_zero_and_diameter():
