@@ -3,20 +3,26 @@
 The engine is a constructive one-point extension: given an isometric image
 of Y and prescribed distances to a new point, an avoidant witness inside the
 smallest prescribed ball realizes all of them at once.  Iterating embeds any
-finite space exactly.
+finite space exactly.  The extension only compares distances, so inside one
+call it runs on the integer codes of the space's `RankCodec`; Fractions come
+back only in the returned points.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
 from .errors import InternalCheckError, PreconditionError
-from .model import ORIGIN, UrysohnPoint, avoidant_witness, delta
-from .spaces import FiniteUltrametricSpace, RangeSet, validate_ultrametric
+from .model import ORIGIN, UrysohnPoint
+from .spaces import (
+    FiniteUltrametricSpace,
+    RankCodec,
+    RangeSet,
+    validate_ultrametric,
+)
 
 
 @dataclass(frozen=True)
@@ -38,37 +44,89 @@ class ExtensionProblem:
         return dict(self.phi)
 
     def validate(self) -> None:
-        if self.theta not in self.base.labels:
+        self._coded()
+
+    def _coded(self):
+        """Check the problem; return its codec, the coded distances from
+        theta and the coded images of Y, both in `phi` order."""
+        base = self.base
+        if self.theta not in base.labels:
             raise PreconditionError("theta is not a label of the base space")
-        ys = [l for l in self.base.labels if l != self.theta]
+        ys = [l for l in base.labels if l != self.theta]
         if not ys:
             raise PreconditionError("Y must be nonempty")
         phi = self.phi_map()
         if set(phi) != set(ys):
             raise PreconditionError("phi must be defined exactly on Y")
-        if not validate_ultrametric(self.base).ok:
+        if not validate_ultrametric(base).ok:
             raise PreconditionError("base space is not a valid ultrametric space")
+        codec = base.codec.widened(c for p in phi.values() for c in p.support())
+        rank = codec.rank
+        coded = {y: (base.index(y), _encode(codec, p)) for y, p in phi.items()}
         for y1, y2 in itertools.combinations(ys, 2):
-            if delta(phi[y1], phi[y2]) != self.base.d(y1, y2):
+            (i, p1), (j, p2) = coded[y1], coded[y2]
+            if _delta(p1, p2) != rank[i][j]:
                 raise PreconditionError(f"phi is not isometric on ({y1}, {y2})")
+        row = rank[base.index(self.theta)]
+        order = [coded[y] for y, _ in self.phi]
+        return codec, [row[i] for i, _ in order], [p for _, p in order]
 
 
-def _extend(row, images, indices) -> UrysohnPoint:
-    """The point at distance row[j] from each images[k], j = indices[k].
+# Inside one call, a point is coded as a tuple of (code, value) pairs with
+# codes strictly descending, the codes taken from a RankCodec that holds
+# every distance and coordinate in play.  Code 0 is the value 0.
 
-    The caller guarantees a valid ultrametric behind `row` and an isometric
-    `images`; the result is still re-checked against every prescribed
-    distance.
+
+def _encode(codec: RankCodec, p: UrysohnPoint):
+    return tuple((codec.encode(c), v) for c, v in p.coords)
+
+
+def _decode(codec: RankCodec, p) -> UrysohnPoint:
+    return UrysohnPoint(tuple((codec.values[c], v) for c, v in p))
+
+
+def _delta(f, g) -> int:
+    """`model.delta` on coded points: the largest code where they differ."""
+    for a, b in zip(f, g):
+        if a != b:
+            return a[0] if a[0] > b[0] else b[0]
+    if len(f) == len(g):
+        return 0
+    return (f if len(f) > len(g) else g)[min(len(f), len(g))][0]
+
+
+def _witness(a, r: int, points):
+    """`model.avoidant_witness` on coded points, with the same checks."""
+    for x in points:
+        if _delta(a, x) > r:
+            raise PreconditionError("constraint point outside the closed ball")
+    excluded = {next((v for c, v in x if c == r), 0) for x in points}
+    k = next(k for k in itertools.count() if k not in excluded)
+    above = tuple(cv for cv in a if cv[0] > r)
+    witness = above + ((r, k),) if k else above
+    for x in points:
+        if _delta(x, witness) != r:
+            raise InternalCheckError("avoidant witness failed its distance check")
+    if _delta(a, witness) > r:
+        raise InternalCheckError("avoidant witness left the ball")
+    return witness
+
+
+def _extend(row, images):
+    """The coded point at distance row[k] from each coded images[k].
+
+    Take r = min row, q the first image at distance r, A the images within
+    r of q, and return the avoidant witness of (q, r, A).  The caller
+    guarantees a valid ultrametric behind `row` and an isometric `images`;
+    the result is still re-checked against every prescribed distance.
     """
-    pairs = list(zip(indices, images))
-    r = min(row[j] for j, _ in pairs)
-    q = next(p for j, p in pairs if row[j] == r)
-    constraints = [p for p in images if delta(p, q) <= r]
-    t = avoidant_witness(q, r, constraints)
-    for j, p in pairs:
-        if delta(p, t) != row[j]:
+    r = min(row)
+    q = images[row.index(r)]
+    t = _witness(q, r, [p for p in images if _delta(p, q) <= r])
+    for k, (p, e) in enumerate(zip(images, row)):
+        if _delta(p, t) != e:
             raise InternalCheckError(
-                f"extension failed to realize the distance to point {j}"
+                f"extension failed to realize the distance to point {k}"
             )
     return t
 
@@ -79,15 +137,11 @@ def extend_one_point(problem: ExtensionProblem) -> UrysohnPoint:
     Take r = min e(y, theta), q the first minimizer in canonical label
     order, A = phi(Y) restricted to B(phi(q), r), and return the avoidant
     witness of (phi(q), r, A).  The postcondition
-    delta(phi(y), t) = e(y, theta) is re-checked on every call.
+    delta(phi(y), t) = e(y, theta) is re-checked on every call.  All of it
+    compares integer codes; the result is decoded once.
     """
-    problem.validate()
-    base = problem.base
-    return _extend(
-        base.dist[base.index(problem.theta)],
-        [p for _, p in problem.phi],
-        [base.index(y) for y, _ in problem.phi],
-    )
+    codec, row, images = problem._coded()
+    return _decode(codec, _extend(row, images))
 
 
 def embed_space(
@@ -98,21 +152,25 @@ def embed_space(
     The first label maps to `basepoint` (default: the empty map); each later
     label is placed by a one-point extension of the embedded prefix.  The
     whole space is validated once, in O(n^2) when it is an ultrametric;
-    every prefix is then a valid extension problem, so the loop needs only
-    the O(n^2) `delta` calls of the extensions and their postconditions.
+    every prefix is then a valid extension problem.  The extensions, their
+    postconditions and the final all-pairs isometry check make O(n^2)
+    comparisons of coded points; the images are decoded once at the end.
     """
     report = validate_ultrametric(space)
     if not report.ok:
         raise PreconditionError("space is not a valid ultrametric space")
     if not space.labels:
         return {}
-    images = [basepoint if basepoint is not None else ORIGIN]
+    base = basepoint if basepoint is not None else ORIGIN
+    codec = space.codec.widened(base.support())
+    rank = codec.rank
+    images = [_encode(codec, base)]
     for i in range(1, len(space)):
-        images.append(_extend(space.dist[i], images, range(i)))
+        images.append(_extend(rank[i][:i], images))
     for (i, x), (j, y) in itertools.combinations(enumerate(images), 2):
-        if delta(x, y) != space.dist[i][j]:
+        if _delta(x, y) != rank[i][j]:
             raise InternalCheckError("embedding failed to preserve a distance")
-    return dict(zip(space.labels, images))
+    return {l: _decode(codec, p) for l, p in zip(space.labels, images)}
 
 
 def _valid_extensions(dsub, rvals, size):

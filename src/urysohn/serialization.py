@@ -1,8 +1,11 @@
 """JSON interchange for spaces, points, subsets, and heir trees.
 
-Rationals travel as strings ("3/4", "2"); points as objects mapping the
-coordinate string to a positive integer value.  Parsing raises ParseError
-on malformed input, keeping exit-code discipline simple for the CLI.
+Rationals travel as strings: integers ("2"), fractions ("3/4") or decimals
+("0.75").  Exponent notation ("1e3") is rejected, because expanding an
+exponent costs time and memory that grow with its value, not with the
+length of the token.  Points travel as objects mapping the coordinate string
+to a positive integer value.  Parsing raises ParseError on malformed or
+inconsistent input, keeping exit-code discipline simple for the CLI.
 """
 
 from __future__ import annotations
@@ -12,17 +15,20 @@ from typing import Any, Mapping
 
 from .errors import ParseError, StructureError
 from .spaces import FiniteUltrametricSpace, RangeSet
-from .model import UrysohnPoint
+from .model import ORIGIN, UrysohnPoint, seed_point
 from .hyperspace import FiniteSubset
 from .embedding import ExtensionProblem
 from .petals import HeirTree, HeirNode, Inheritance
 
 
 def parse_rational(text: Any) -> Fraction:
-    """Parse "p/q" or integer strings (ints accepted too); must be >= 0."""
+    """Parse "p/q", integer or decimal strings (ints accepted too), without
+    exponents; must be >= 0."""
     try:
         if isinstance(text, bool):
             raise ValueError("booleans are not rationals")
+        if isinstance(text, str) and ("e" in text or "E" in text):
+            raise ValueError("exponent notation is not accepted")
         value = Fraction(text) if isinstance(text, (int, str)) else None
         if value is None:
             raise ValueError(f"cannot read a rational from {type(text).__name__}")
@@ -44,6 +50,8 @@ def format_rational(value: Fraction) -> str:
 
 
 def space_from_json(doc: Mapping[str, Any]) -> FiniteUltrametricSpace:
+    """Parse a space document.  Each distinct string token is parsed once
+    per document, so equal tokens share one Fraction."""
     try:
         labels = tuple(str(l) for l in doc["labels"])
         rows = doc["dist"]
@@ -51,7 +59,17 @@ def space_from_json(doc: Mapping[str, Any]) -> FiniteUltrametricSpace:
         raise ParseError(f"space document needs 'labels' and 'dist': {exc}") from exc
     if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
         raise ParseError("'dist' must be a list of rows")
-    dist = tuple(tuple(parse_rational(v) for v in row) for row in rows)
+    memo: dict[str, Fraction] = {}
+
+    def rational(token):
+        if not isinstance(token, str):
+            return parse_rational(token)
+        value = memo.get(token)
+        if value is None:
+            value = memo[token] = parse_rational(token)
+        return value
+
+    dist = tuple(tuple(map(rational, row)) for row in rows)
     range_set = None
     if doc.get("range") is not None:
         range_set = range_set_from_json(doc["range"])
@@ -189,15 +207,37 @@ def heir_tree_from_json(doc: Mapping[str, Any]) -> HeirTree:
         radius = None if radius is None else parse_rational(radius)
         seed_index = raw.get("seed_index")
         if parent is None:
+            if point != ORIGIN:
+                raise ParseError("a root node must be the empty map")
+            if radius is not None or seed_index is not None:
+                raise ParseError("a root node has no radius or seed index")
             inh = Inheritance((point,), ())
         else:
-            if not isinstance(parent, int) or not 0 <= parent < len(nodes):
+            if (
+                not isinstance(parent, int)
+                or isinstance(parent, bool)
+                or not 0 <= parent < len(nodes)
+            ):
                 raise ParseError("node parent must index an earlier node")
             if radius is None or seed_index is None:
                 raise ParseError("non-root nodes need a radius and seed index")
-            parent_inh = nodes[parent].inheritance
+            if radius == 0 or radius not in range_set:
+                raise ParseError(f"radius {radius} is not a nonzero range value")
+            if (
+                not isinstance(seed_index, int)
+                or isinstance(seed_index, bool)
+                or seed_index < 0
+            ):
+                raise ParseError("seed_index must be a nonnegative integer")
+            up = nodes[parent]
+            if up.radius is not None and not radius < up.radius:
+                raise ParseError("radii must strictly decrease from parent to child")
+            if point != seed_point(up.point, radius, seed_index):
+                raise ParseError("node point is not the seed point of its parent")
+            if point == up.point:
+                raise ParseError("node point coincides with its parent")
             inh = Inheritance(
-                parent_inh.points + (point,), parent_inh.radii + (radius,)
+                up.inheritance.points + (point,), up.inheritance.radii + (radius,)
             )
         nodes.append(
             HeirNode(

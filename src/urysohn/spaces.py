@@ -1,9 +1,11 @@
 """Finite rational-valued ultrametric spaces and their ball combinatorics.
 
-Distances are exact `fractions.Fraction` values throughout; every equality
-test is exact.  A space is a labelled symmetric matrix; the haloed and
-avoidant predicates quantify over the closed balls of the space at the radii
-of a finite range set.
+Distances enter and leave as exact `fractions.Fraction` values.  Since an
+ultrametric only ever compares distances, validation works on their integer
+ranks (:class:`RankCodec`), an exact order isomorphism built once per space;
+every equality test is exact and no float is used.  A space is a labelled
+symmetric matrix; the haloed and avoidant predicates quantify over the
+closed balls of the space at the radii of a finite range set.
 """
 
 from __future__ import annotations
@@ -11,8 +13,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Optional
+from functools import cached_property, lru_cache
+from typing import Iterable, Optional
 
 from .errors import PreconditionError, StructureError
 
@@ -54,6 +56,50 @@ class RangeSet:
 
     def intersection(self, other: "RangeSet") -> "RangeSet":
         return RangeSet.of(set(self.values) & set(other.values))
+
+
+class RankCodec:
+    """The sorted distinct values of a distance matrix, 0 included, coded by
+    their positions 0, 1, ...: an exact order isomorphism, so comparing two
+    codes is comparing two values, at the cost of an int compare.
+
+    `rank` is the matrix with every entry replaced by its code.  Values are
+    keyed by their reduced (numerator, denominator) pair, which is equal
+    exactly when the values are and is much cheaper to hash than a Fraction;
+    so "1/2" and "2/4" share a code.  `values[c]` decodes code c to one of
+    the original Fraction objects.
+    """
+
+    __slots__ = ("values", "code", "rank")
+
+    def __init__(self, values: tuple[Fraction, ...], keyed_rows):
+        self.values = values
+        self.code = {v.as_integer_ratio(): c for c, v in enumerate(values)}
+        get = self.code.__getitem__
+        self.rank = tuple(tuple(map(get, row)) for row in keyed_rows)
+
+    @classmethod
+    def of(cls, dist) -> "RankCodec":
+        keyed = [[v.as_integer_ratio() for v in row] for row in dist]
+        by_key = {(0, 1): ZERO}
+        for krow, row in zip(keyed, dist):
+            by_key.update(zip(krow, row))
+        return cls(tuple(sorted(by_key.values())), keyed)
+
+    def encode(self, value) -> int:
+        return self.code[value.as_integer_ratio()]
+
+    def widened(self, extra: Iterable[Fraction]) -> "RankCodec":
+        """This codec with the extra values added.  Codes shift, so the rank
+        matrix is recoded; returns self when every extra value is known."""
+        new = [v for v in extra if v.as_integer_ratio() not in self.code]
+        if not new:
+            return self
+        keys = [v.as_integer_ratio() for v in self.values]
+        return RankCodec(
+            tuple(sorted({*self.values, *new})),
+            (map(keys.__getitem__, row) for row in self.rank),
+        )
 
 
 @dataclass(frozen=True)
@@ -100,6 +146,13 @@ class FiniteUltrametricSpace:
     def d(self, x: str, y: str) -> Fraction:
         return self.dist[self.index(x)][self.index(y)]
 
+    @cached_property
+    def codec(self) -> RankCodec:
+        """The distances coded by rank, built on first use and kept; like
+        `_index` it is not a field, so ==, hash and the lru_cache keys see
+        only labels, dist and range."""
+        return RankCodec.of(self.dist)
+
     def restrict(self, labels) -> "FiniteUltrametricSpace":
         """Subspace on the given labels, keeping canonical matrix order."""
         idx = [self.index(l) for l in labels]
@@ -128,35 +181,21 @@ class ValidationReport:
     violations: tuple[Violation, ...]
 
 
-def _ranks(dist) -> list[list[int]]:
-    """Each entry replaced by its rank among the distinct entries: an exact
-    order isomorphism, so comparisons agree and cost an int compare.
-
-    Entries are keyed by their reduced (numerator, denominator) pair, which
-    is equal exactly when the values are and is much cheaper to hash than
-    a Fraction.
-    """
-    keyed = [[v.as_integer_ratio() for v in row] for row in dist]
-    distinct = {k for row in keyed for k in row}
-    order = sorted(distinct, key=lambda k: Fraction(*k))
-    rank_of = {k: r for r, k in enumerate(order)}
-    return [[rank_of[k] for k in row] for row in keyed]
-
-
-def _equals_subdominant(rank: list[list[int]]) -> bool:
-    """Does a symmetric matrix equal its single-linkage ultrametric?
+def _subdominant(rank) -> list[list[int]]:
+    """The single-linkage (subdominant) ultrametric of a symmetric matrix:
+    for each pair, the least possible largest edge on a path joining them.
 
     Prim's algorithm grows a minimum spanning tree from point 0.  When v
-    joins through parent p by an edge of weight w, the minimax path value
-    from v to each tree point u is max(w, value(p, u)), and value(p, u) is
-    already known to equal rank[p][u] or the scan would have stopped.  So
-    each pair is checked once, in O(n^2) total.  Equality holds exactly
-    when the strong triangle inequality holds on every triple of distinct
-    points (Gower & Ross 1969; Carlsson & Memoli, JMLR 2010).
+    joins through parent p by an edge of weight w, its value to each tree
+    point u is max(w, value(p, u)), so the whole matrix costs O(n^2).  It
+    never exceeds the matrix, and equals it off the diagonal exactly when
+    the strong triangle inequality holds on every triple of distinct points
+    (Gower & Ross 1969; Carlsson & Memoli, JMLR 2010).
     """
     n = len(rank)
-    if n < 3:
-        return True
+    sub = [[0] * n for _ in range(n)]
+    if not n:
+        return sub
     key = list(rank[0])
     parent = [0] * n
     tree = [0]
@@ -164,17 +203,16 @@ def _equals_subdominant(rank: list[list[int]]) -> bool:
     while outside:
         v = min(outside, key=key.__getitem__)
         outside.remove(v)
-        w, p, row = key[v], parent[v], rank[v]
-        via = rank[p]
-        for u in tree:
-            if u != p and row[u] != max(w, via[u]):
-                return False
+        w, row, via = key[v], sub[v], sub[parent[v]]
+        for u in tree:  # via[parent] is still 0, the least code
+            row[u] = sub[u][v] = w if w > via[u] else via[u]
         tree.append(v)
+        rv = rank[v]
         for u in outside:
-            if row[u] < key[u]:
-                key[u] = row[u]
+            if rv[u] < key[u]:
+                key[u] = rv[u]
                 parent[u] = v
-    return True
+    return sub
 
 
 def validate_ultrametric(space: FiniteUltrametricSpace) -> ValidationReport:
@@ -183,39 +221,42 @@ def validate_ultrametric(space: FiniteUltrametricSpace) -> ValidationReport:
     Strong triangle violations are reported as (x, y, z) where
     d(x,y) > max(d(x,z), d(z,y)).
 
-    Distances are compared through their integer ranks.  A symmetric matrix
-    is checked against its single-linkage ultrametric in O(n^2); only when
-    that fails, or the matrix is not symmetric, does the cubic triple scan
-    run, to list every violation.
+    Every check compares the integer codes of `space.codec`.  A symmetric
+    matrix is compared with its single-linkage ultrametric in O(n^2); a
+    triangle violation (x, y, z) forces that ultrametric below d(x, y), so
+    only the pairs where it falls short are scanned for z.  An asymmetric
+    matrix takes the full O(n^3) triple scan.
     """
     n = len(space)
     labels = space.labels
-    dist = space.dist
-    rank = _ranks(dist)
+    codec = space.codec
+    rank = codec.rank
+    zero = codec.encode(ZERO)
     bad: list[Violation] = []
     for i in range(n):
-        if dist[i][i] != ZERO:
+        if rank[i][i] != zero:
             bad.append(Violation("diagonal", (labels[i],)))
     symmetric = True
     for i, j in itertools.combinations(range(n), 2):
         if rank[i][j] != rank[j][i]:
             symmetric = False
             bad.append(Violation("symmetry", (labels[i], labels[j])))
-        if dist[i][j] <= ZERO:
+        if rank[i][j] <= zero:
             bad.append(Violation("positivity", (labels[i], labels[j])))
-    if not (symmetric and _equals_subdominant(rank)):
-        for i, j in itertools.combinations(range(n), 2):
-            rij, ri = rank[i][j], rank[i]
-            for k in range(n):
-                if k == i or k == j:
-                    continue
-                if rij > max(ri[k], rank[k][j]):
-                    bad.append(
-                        Violation("triangle", (labels[i], labels[j], labels[k]))
-                    )
+    sub = _subdominant(rank) if symmetric else None
+    for i, j in itertools.combinations(range(n), 2):
+        rij, ri = rank[i][j], rank[i]
+        if sub is not None and rij <= sub[i][j]:
+            continue
+        for k in range(n):
+            if k == i or k == j:
+                continue
+            if rij > max(ri[k], rank[k][j]):
+                bad.append(Violation("triangle", (labels[i], labels[j], labels[k])))
     if space.range is not None:
+        allowed = {codec.code.get(v.as_integer_ratio()) for v in space.range}
         for i, j in itertools.combinations(range(n), 2):
-            if dist[i][j] not in space.range:
+            if rank[i][j] not in allowed:
                 bad.append(Violation("range", (labels[i], labels[j])))
     return ValidationReport(ok=not bad, violations=tuple(bad))
 

@@ -10,10 +10,10 @@ from itertools import combinations
 
 from urysohn import (
     ORIGIN,
-    ExtensionProblem,
     FiniteUltrametricSpace,
     RangeSet,
-    extend_one_point,
+    avoidant_witness,
+    delta,
 )
 
 
@@ -96,13 +96,48 @@ def threshold_components(space, radius, strict):
 
 
 def embed_by_extension(space: FiniteUltrametricSpace, basepoint=ORIGIN):
-    """Embedding by the definition: each label is a fresh, fully validated
-    one-point extension problem over the subspace of the labels before it."""
+    """Embedding by the definition, on Fractions: each label goes to the
+    avoidant witness of (phi(q), r, A), where r is its least distance to
+    the labels before it, q the first of them at distance r, and A the
+    images so far inside the closed ball B(phi(q), r)."""
     labels = space.labels
     if not labels:
         return {}
     images = {labels[0]: basepoint}
     for i, label in enumerate(labels[1:], start=1):
-        sub = space.restrict(labels[: i + 1])
-        images[label] = extend_one_point(ExtensionProblem.of(sub, label, images))
+        before = labels[:i]
+        r = min(space.d(y, label) for y in before)
+        q = images[next(y for y in before if space.d(y, label) == r)]
+        ball = [images[y] for y in before if delta(images[y], q) <= r]
+        images[label] = avoidant_witness(q, r, ball)
     return images
+
+
+def plain_space_from_json(doc) -> FiniteUltrametricSpace:
+    """A space document read with one `Fraction(str)` call per entry."""
+    return FiniteUltrametricSpace(
+        tuple(doc["labels"]),
+        tuple(tuple(Fraction(v) for v in row) for row in doc["dist"]),
+    )
+
+
+def validation_report(space: FiniteUltrametricSpace):
+    """Every metric axiom violation as (kind, labels), by the definitions
+    on Fractions, in the order `validate_ultrametric` lists them."""
+    labels, n = space.labels, len(space)
+    d = space.dist
+    out = [("diagonal", (labels[i],)) for i in range(n) if d[i][i] != 0]
+    for i, j in combinations(range(n), 2):
+        if d[i][j] != d[j][i]:
+            out.append(("symmetry", (labels[i], labels[j])))
+        if d[i][j] <= 0:
+            out.append(("positivity", (labels[i], labels[j])))
+    for i, j in combinations(range(n), 2):
+        for k in range(n):
+            if k not in (i, j) and d[i][j] > max(d[i][k], d[k][j]):
+                out.append(("triangle", (labels[i], labels[j], labels[k])))
+    if space.range is not None:
+        for i, j in combinations(range(n), 2):
+            if d[i][j] not in space.range.values:
+                out.append(("range", (labels[i], labels[j])))
+    return out

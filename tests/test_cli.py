@@ -49,6 +49,14 @@ def test_parse_failure_exit_2(tmp_path, capsys):
     assert "parse error" in err
 
 
+def test_exponent_token_exit_2(tmp_path, capsys):
+    doc = {"labels": ["a", "b"], "dist": [["0", "1e1000000000"], ["1", "0"]]}
+    path = write(tmp_path, "space.json", doc)
+    code, out, err = run(capsys, "validate", path)
+    assert code == 2 and not out
+    assert "exponent" in err
+
+
 def test_embed_round_trip(tmp_path, capsys):
     path = write(tmp_path, "space.json", EQUILATERAL)
     code, out, _ = run(capsys, "embed", path)

@@ -108,14 +108,36 @@ def test_embed_respects_basepoint():
 
 
 def test_embed_matches_prefix_extension_oracle():
+    # The oracle extends by the definition on Fractions; the library runs on
+    # int codes.  The second basepoint has coordinates between and above the
+    # spaces' distances (twelfths up to 2), so its codes interleave theirs.
     rng = random.Random(53)
     spaces = [random_ultrametric_space(rng, rng.randint(1, 10)) for _ in range(60)]
     spaces += [random_ultrametric_space(rng, rng.randint(23, 27)) for _ in range(3)]
     for space in spaces:
-        assert embed_space(space) == embed_by_extension(space)
-    base = UrysohnPoint.of({F(7, 2): 3})
-    for space in spaces[:10] + spaces[-1:]:
-        assert embed_space(space, base) == embed_by_extension(space, base)
+        assert repr(embed_space(space)) == repr(embed_by_extension(space))
+    bases = (
+        UrysohnPoint.of({F(7, 2): 3}),
+        UrysohnPoint.of({F(3): 4, F(13, 24): 1, F(1, 2): 2, F(5, 24): 2}),
+    )
+    for base in bases:
+        for space in spaces[:20] + spaces[-1:]:
+            got = embed_space(space, base)
+            assert repr(got) == repr(embed_by_extension(space, base))
+
+
+def test_extend_with_interleaved_phi_matches_oracle():
+    # phi images carry coordinates that are not distances of the space, so
+    # extend_one_point widens the codec; the answer must not move.
+    rng = random.Random(59)
+    base = UrysohnPoint.of({F(3): 4, F(13, 24): 1, F(5, 24): 2})
+    for _ in range(30):
+        space = random_ultrametric_space(rng, rng.randint(2, 9))
+        expected = embed_by_extension(space, base)
+        theta = space.labels[-1]
+        phi = {l: expected[l] for l in space.labels[:-1]}
+        t = extend_one_point(ExtensionProblem.of(space, theta, phi))
+        assert repr(t) == repr(expected[theta])
 
 
 def test_problem_rejects_phi_outside_y():

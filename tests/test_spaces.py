@@ -23,6 +23,7 @@ from oracles import (
     oracle_is_haloed,
     threshold_components,
     triangle_violations,
+    validation_report,
 )
 
 
@@ -103,6 +104,39 @@ def test_validate_matches_exhaustive_triple_scan():
         assert got == expected
         if kind in ("valid", "random"):
             assert report.ok == (not expected)
+
+
+def test_validate_report_matches_definitions():
+    # Several pairs raised or lowered (raised ones make the subdominant
+    # ultrametric fall short of the matrix in many pairs at once), plus now
+    # and then an asymmetric entry, a bad diagonal, a zero pair or a range
+    # set; the whole report must equal the definitional one, list for list.
+    rng = random.Random(67)
+    for trial in range(200):
+        n = rng.randint(1, 12)
+        space = random_ultrametric_space(rng, n)
+        rows = [list(r) for r in space.dist]
+        for _ in range(rng.randint(0, 4) if n >= 2 else 0):
+            i, j = rng.sample(range(n), 2)
+            v = rows[i][j] * rng.choice((F(1, 3), F(1, 2), F(3, 2), 2, 5))
+            rows[i][j] = rows[j][i] = v
+        if n >= 2 and trial % 7 == 0:
+            i, j = rng.sample(range(n), 2)
+            rows[i][j] += F(1, 12)
+        if trial % 11 == 0:
+            i = rng.randrange(n)
+            rows[i][i] = F(1, 4)
+        if n >= 2 and trial % 13 == 0:
+            i, j = rng.sample(range(n), 2)
+            rows[i][j] = rows[j][i] = F(0)
+        rs = RangeSet.of(F(k, 12) for k in range(1, 13)) if trial % 5 == 0 else None
+        bent = FiniteUltrametricSpace(
+            space.labels, tuple(tuple(r) for r in rows), rs
+        )
+        report = validate_ultrametric(bent)
+        got = [(v.kind, v.where) for v in report.violations]
+        assert got == validation_report(bent)
+        assert report.ok == (not got)
 
 
 def test_closed_ball_radius_zero_and_diameter():
